@@ -1,21 +1,19 @@
-//===- bench/micro_suffixtree.cpp - Suffix tree microbenchmarks -------------===//
+//===- bench/micro_suffixtree.cpp - Repeat detector microbenchmarks -------===//
 //
 // Part of the Calibro project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// google-benchmark suite for the redundancy-detection substrate: Ukkonen
-/// construction throughput vs. input size, the partitioned build (the
-/// PlOpti mechanism: K smaller trees are cheaper than one big one even on a
-/// single thread), repeat enumeration, and the greedy benefit-model
-/// selection.
+/// google-benchmark suite for the redundancy-detection substrate: suffix
+/// array construction throughput vs. input size, the partitioned build (the
+/// PlOpti mechanism: K smaller arrays against one big one, on a single
+/// thread), repeat enumeration, and the greedy benefit-model selection.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/BenefitModel.h"
 #include "suffixtree/SuffixArray.h"
-#include "suffixtree/SuffixTree.h"
 #include "support/Random.h"
 
 #include <benchmark/benchmark.h>
@@ -26,7 +24,7 @@ namespace {
 
 /// Synthesizes an instruction-stream-like symbol sequence: Zipf-skewed
 /// idiom reuse over a small alphabet plus unique separators, mimicking what
-/// LTBO feeds the tree.
+/// LTBO feeds the detector.
 std::vector<st::Symbol> makeSequence(std::size_t N, uint64_t Seed) {
   Rng R(Seed);
   ZipfSampler Pick(512, 1.05);
@@ -43,21 +41,7 @@ std::vector<st::Symbol> makeSequence(std::size_t N, uint64_t Seed) {
   return Seq;
 }
 
-void BM_BuildGlobalTree(benchmark::State &State) {
-  std::size_t N = static_cast<std::size_t>(State.range(0));
-  auto Seq = makeSequence(N, 42);
-  for (auto _ : State) {
-    std::vector<st::Symbol> Copy = Seq;
-    st::SuffixTree Tree(std::move(Copy));
-    benchmark::DoNotOptimize(Tree.numNodes());
-  }
-  State.SetItemsProcessed(State.iterations() * N);
-}
-BENCHMARK(BM_BuildGlobalTree)->Range(1 << 10, 1 << 18);
-
 void BM_BuildSuffixArray(benchmark::State &State) {
-  // The alternative detection backend: O(n log^2 n) but with a compact,
-  // cache-friendly working set.
   std::size_t N = static_cast<std::size_t>(State.range(0));
   auto Seq = makeSequence(N, 42);
   for (auto _ : State) {
@@ -69,7 +53,7 @@ void BM_BuildSuffixArray(benchmark::State &State) {
 }
 BENCHMARK(BM_BuildSuffixArray)->Range(1 << 10, 1 << 18);
 
-void BM_BuildPartitionedTrees(benchmark::State &State) {
+void BM_BuildPartitionedArrays(benchmark::State &State) {
   // Same total input, K partitions, built sequentially: isolates the
   // memory-locality benefit the paper credits PlOpti with (§3.4.1).
   std::size_t N = 1 << 17;
@@ -79,23 +63,22 @@ void BM_BuildPartitionedTrees(benchmark::State &State) {
     std::size_t Nodes = 0;
     for (std::size_t P = 0; P < K; ++P) {
       std::size_t Lo = N * P / K, Hi = N * (P + 1) / K;
-      st::SuffixTree Tree(
+      st::SuffixArray Arr(
           std::vector<st::Symbol>(Seq.begin() + Lo, Seq.begin() + Hi));
-      Nodes += Tree.numNodes();
+      Nodes += Arr.numNodes();
     }
     benchmark::DoNotOptimize(Nodes);
   }
   State.SetItemsProcessed(State.iterations() * N);
 }
-BENCHMARK(BM_BuildPartitionedTrees)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
+BENCHMARK(BM_BuildPartitionedArrays)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 
 void BM_EnumerateRepeats(benchmark::State &State) {
   auto Seq = makeSequence(1 << 16, 7);
-  st::SuffixTree Tree(std::move(Seq));
+  st::SuffixArray Arr(std::move(Seq));
   for (auto _ : State) {
     std::size_t Count = 0;
-    Tree.forEachRepeat(2, 64, 2,
-                       [&](const st::SuffixTree::RepeatInfo &) { ++Count; });
+    Arr.forEachRepeat(2, 64, 2, [&](const st::RepeatInfo &) { ++Count; });
     benchmark::DoNotOptimize(Count);
   }
 }
@@ -103,7 +86,7 @@ BENCHMARK(BM_EnumerateRepeats);
 
 void BM_GreedyBenefitSelection(benchmark::State &State) {
   auto Seq = makeSequence(1 << 16, 9);
-  st::SuffixTree Tree(std::move(Seq));
+  st::SuffixArray Arr(std::move(Seq));
   for (auto _ : State) {
     struct Cand {
       int32_t Node;
@@ -111,18 +94,18 @@ void BM_GreedyBenefitSelection(benchmark::State &State) {
       int64_t Ben;
     };
     std::vector<Cand> Cands;
-    Tree.forEachRepeat(2, 64, 2, [&](const st::SuffixTree::RepeatInfo &R) {
+    Arr.forEachRepeat(2, 64, 2, [&](const st::RepeatInfo &R) {
       int64_t B = core::benefit(R.Length, R.Count);
       if (B > 0)
         Cands.push_back({R.Node, R.Length, R.Count, B});
     });
     std::sort(Cands.begin(), Cands.end(),
               [](const Cand &A, const Cand &B) { return A.Ben > B.Ben; });
-    std::vector<bool> Claimed(Tree.textSize(), false);
+    std::vector<bool> Claimed(Arr.textSize(), false);
     uint64_t Saved = 0;
     for (const auto &C : Cands) {
       uint32_t Taken = 0, LastEnd = 0;
-      for (uint32_t P : Tree.positionsOf(C.Node)) {
+      for (uint32_t P : Arr.positionsOf(C.Node)) {
         if (Taken && P < LastEnd)
           continue;
         bool Ok = true;

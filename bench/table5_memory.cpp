@@ -77,38 +77,29 @@ int main(int argc, char **argv) {
               FullSum / N < DiskSum / N ? "PASS" : "FAIL");
 
   // Build-side memory: the largest single-group detect-phase working set
-  // (suffix structure + assembled sequence/provenance + candidate scratch,
-  // sampled at its peak before scratch release). Partitioning shrinks it
-  // (one small structure at a time), and the suffix-array backend holds
-  // less than the tree at the same K.
+  // (suffix array + assembled sequence/provenance + candidate scratch,
+  // sampled at its peak before scratch release). Partitioning shrinks it:
+  // one small array at a time.
   std::printf("\ndetect-phase peak working set (%s, CTO+LTBO):\n",
               Specs[5].Name.c_str());
   struct PeakRow {
-    const char *Detector;
     uint32_t K;
     std::size_t PeakBytes, ScratchBytes;
   };
   std::vector<PeakRow> PeakRows;
   dex::App Big = workload::makeApp(Specs[5]);
-  for (auto [Label, Kind] :
-       {std::pair<const char *, core::DetectorKind>{
-            "suffix tree", core::DetectorKind::SuffixTree},
-        {"suffix array", core::DetectorKind::SuffixArray}}) {
-    for (uint32_t K : {1u, 8u}) {
-      core::CalibroOptions O = ctoLtboOpts();
-      O.LtboDetector = Kind;
-      O.LtboPartitions = K;
-      auto B = build(Big, O);
-      // Scratch = arena bytes retained across groups by the suffix-array
-      // backend (zero for the tree, which allocates per group). It is an
-      // upper bound held for the whole fan-out, so it is reported next to
-      // the peak rather than folded into it.
-      std::printf("  %-14s K=%-2u %12s  (arena scratch %s)\n", Label, K,
-                  fmtBytes(B.Stats.Ltbo.DetectPeakBytes).c_str(),
-                  fmtBytes(B.Stats.Ltbo.DetectScratchBytes).c_str());
-      PeakRows.push_back(
-          {Label, K, B.Stats.Ltbo.DetectPeakBytes, B.Stats.Ltbo.DetectScratchBytes});
-    }
+  for (uint32_t K : {1u, 8u}) {
+    core::CalibroOptions O = ctoLtboOpts();
+    O.LtboPartitions = K;
+    auto B = build(Big, O);
+    // Scratch = arena bytes retained across groups. It is an upper bound
+    // held for the whole fan-out, so it is reported next to the peak
+    // rather than folded into it.
+    std::printf("  K=%-2u %12s  (arena scratch %s)\n", K,
+                fmtBytes(B.Stats.Ltbo.DetectPeakBytes).c_str(),
+                fmtBytes(B.Stats.Ltbo.DetectScratchBytes).c_str());
+    PeakRows.push_back(
+        {K, B.Stats.Ltbo.DetectPeakBytes, B.Stats.Ltbo.DetectScratchBytes});
   }
 
   // Memory-budgeted streaming: the same PlOpti build under shrinking
@@ -226,9 +217,9 @@ int main(int argc, char **argv) {
                CtoSum / N, FullSum / N, DiskSum / N);
   for (std::size_t I = 0; I < PeakRows.size(); ++I)
     std::fprintf(J,
-                 "%s\n    {\"detector\": \"%s\", \"k\": %u, "
-                 "\"peak_bytes\": %zu, \"scratch_bytes\": %zu}",
-                 I ? "," : "", PeakRows[I].Detector, PeakRows[I].K,
+                 "%s\n    {\"k\": %u, \"peak_bytes\": %zu, "
+                 "\"scratch_bytes\": %zu}",
+                 I ? "," : "", PeakRows[I].K,
                  PeakRows[I].PeakBytes, PeakRows[I].ScratchBytes);
   std::fprintf(J, "\n  ],\n  \"budget_sweep\": [");
   for (std::size_t I = 0; I < BudgetRows.size(); ++I) {

@@ -6,15 +6,15 @@
 ///
 /// \file
 /// Regenerates Table 6: building time per app for the baseline, the
-/// single-global-suffix-tree CTO+LTBO, and the paralleled-suffix-tree
-/// PlOpti variant, plus the growth ratios relative to the baseline.
+/// single-global-detection CTO+LTBO (K = 1), and the partitioned PlOpti
+/// variant (K = 8), plus the growth ratios relative to the baseline.
 ///
 /// Paper reference: CTO+LTBO slows the build by 489.5% on average (single
-/// thread, one global tree), PlOpti by 70.8% (8 trees). Also includes the
-/// K-sweep ablation (the trade-off knob §4.4 mentions) with the per-phase
-/// breakdown of the parallel link pipeline, the link-stage speedup of the
-/// parallel/radix implementation over the serial suffix-tree configuration,
-/// and the suffix-array construction comparison (comparison-sorted prefix
+/// thread, one global suffix tree), PlOpti by 70.8% (8 trees); here each
+/// group builds a suffix array instead. Also includes the K-sweep ablation
+/// (the trade-off knob §4.4 mentions) with the per-phase breakdown of the
+/// parallel link pipeline, the serial vs. 8-thread link stage, and the
+/// suffix-array construction comparison (comparison-sorted prefix
 /// doubling vs. radix-sorted doubling vs. linear-time SA-IS, including a
 /// scale-8 input where the asymptotic gap actually shows). Everything is
 /// also emitted as machine-readable JSON (BENCH_build_time.json in the
@@ -172,12 +172,13 @@ int main(int argc, char **argv) {
 
   printRow("", Names);
   printRow("Baseline", BaseRow);
-  printRow("CTO+LTBO (1 tree)", FullRow);
+  printRow("CTO+LTBO (K=1)", FullRow);
   printRow("CTO+LTBO+PlOpti (8)", ParRow);
   printRow("growth: CTO+LTBO", FullPct);
   printRow("growth: +PlOpti", ParPct);
 
-  std::printf("\nshape check: PlOpti growth << global-tree growth : %s\n",
+  std::printf("\nshape check: PlOpti growth << global-detection growth : "
+              "%s\n",
               ParSum < FullSum ? "PASS" : "FAIL");
 
   // Ablation: the K trade-off (build time vs. size reduction), Wechat —
@@ -225,53 +226,22 @@ int main(int argc, char **argv) {
               Select32, Select16,
               Select32 <= 2.0 * Select16 + 0.001 ? "PASS" : "FAIL");
 
-  // Ablation: detection backend (suffix tree vs. suffix array). Both make
-  // identical outlining decisions; only the build-time profile differs.
-  std::printf("\nablation: detection backend on %s (K = 1)\n",
-              Specs[5].Name.c_str());
-  for (auto [Label, Kind] :
-       {std::pair<const char *, core::DetectorKind>{
-            "suffix tree", core::DetectorKind::SuffixTree},
-        {"suffix array", core::DetectorKind::SuffixArray}}) {
-    core::CalibroOptions O = ctoLtboOpts();
-    O.LtboDetector = Kind;
-    uint64_t Bytes = 0;
-    double T = timedBuild(App, O, &Bytes);
-    std::printf("  %-14s %12s %12s\n", Label, fmtSec(T).c_str(),
-                fmtPct(100.0 * (1.0 - double(Bytes) / double(BaseBytes)))
-                    .c_str());
-  }
-
-  // Link-stage speedup: LTBO wall-clock at K = 1 for detector x thread
-  // count. The serial suffix tree is the seed configuration; the radix
-  // suffix array plus the parallel pipeline is the optimized one.
+  // Link stage: LTBO wall-clock at K = 1, serial and on 8 threads.
   std::printf("\nlink stage: LTBO wall-clock on %s (K = 1)\n",
               Specs[5].Name.c_str());
   struct LinkRow {
-    const char *Detector;
     uint32_t Threads;
     double Seconds;
   };
   std::vector<LinkRow> LinkRows;
-  for (auto [Label, Kind] :
-       {std::pair<const char *, core::DetectorKind>{
-            "tree", core::DetectorKind::SuffixTree},
-        {"array", core::DetectorKind::SuffixArray}}) {
-    for (uint32_t Threads : {1u, 8u}) {
-      core::CalibroOptions O = ctoLtboOpts();
-      O.LtboDetector = Kind;
-      O.LtboThreads = Threads;
-      double T = timedLtboStage(App, O);
-      std::printf("  %-6s %u thread%s %12s\n", Label, Threads,
-                  Threads == 1 ? " " : "s", fmtSec(T).c_str());
-      LinkRows.push_back({Label, Threads, T});
-    }
+  for (uint32_t Threads : {1u, 8u}) {
+    core::CalibroOptions O = ctoLtboOpts();
+    O.LtboThreads = Threads;
+    double T = timedLtboStage(App, O);
+    std::printf("  %u thread%s %12s\n", Threads, Threads == 1 ? " " : "s",
+                fmtSec(T).c_str());
+    LinkRows.push_back({Threads, T});
   }
-  double SerialSeed = LinkRows[0].Seconds;  // tree, 1 thread
-  double Optimized = LinkRows[3].Seconds;   // array, 8 threads
-  double LinkSpeedup = Optimized > 0 ? SerialSeed / Optimized : 0;
-  std::printf("  speedup (tree serial -> array 8t): %.2fx : %s\n",
-              LinkSpeedup, LinkSpeedup >= 2.0 ? "PASS" : "FAIL");
 
   // Suffix-array construction alone: the seed's comparison-sorted prefix
   // doubling vs. the radix-sorted doubling vs. linear-time SA-IS (the
@@ -475,12 +445,10 @@ int main(int argc, char **argv) {
   std::fprintf(J, "\n  ],\n  \"link_stage\": [");
   for (std::size_t I = 0; I < LinkRows.size(); ++I)
     std::fprintf(J,
-                 "%s\n    {\"detector\": \"%s\", \"threads\": %u, "
-                 "\"ltbo_s\": %.4f}",
-                 I ? "," : "", LinkRows[I].Detector, LinkRows[I].Threads,
-                 LinkRows[I].Seconds);
+                 "%s\n    {\"threads\": %u, \"ltbo_s\": %.4f}",
+                 I ? "," : "", LinkRows[I].Threads, LinkRows[I].Seconds);
   std::fprintf(J,
-               "\n  ],\n  \"link_stage_speedup\": %.3f,\n"
+               "\n  ],\n"
                "  \"sa_construction\": {\"symbols\": %zu, "
                "\"sort_doubling_s\": %.4f, \"radix_doubling_s\": %.4f, "
                "\"sais_s\": %.4f, \"sais_speedup\": %.3f,\n"
@@ -490,7 +458,7 @@ int main(int argc, char **argv) {
                "\"scale8_worstcase_radix_s\": %.4f, "
                "\"scale8_worstcase_sais_s\": %.4f, "
                "\"scale8_worstcase_speedup\": %.3f},\n",
-               LinkSpeedup, SaText.size(), LegacySec, RadixSec, SaIsSec,
+               SaText.size(), LegacySec, RadixSec, SaIsSec,
                RadixSec / SaIsSec, SaText8.size(), Radix8Sec, SaIs8Sec,
                SaIsSpeedup8, Tandem.size(), RadixWorst, SaIsWorst,
                WorstSpeedup);

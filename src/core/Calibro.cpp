@@ -245,7 +245,6 @@ Expected<BuildResult> core::linkApp(CompiledApp App,
     OOpts.Partitions = Opts.LtboPartitions;
     OOpts.Threads = Opts.LtboThreads;
     OOpts.MemoryBudgetBytes = Opts.MemoryBudgetBytes;
-    OOpts.Detector = Opts.LtboDetector;
     OOpts.Strict = Opts.StrictSideInfo;
     OOpts.Pool = Opts.Pool;
     OOpts.PoolGroup = Opts.PoolGroup;

@@ -51,8 +51,8 @@ struct CalibroOptions {
   /// concurrently; 0 = hardware concurrency). Builds are deterministic
   /// regardless of this value.
   uint32_t CompileThreads = 0;
-  /// K detection partitions. 0 = automatic, legal only with a memory
-  /// budget (see OutlinerOptions::Partitions).
+  /// K detection partitions, at most MaxPartitions. 0 = automatic, legal
+  /// only with a memory budget (see OutlinerOptions::Partitions).
   uint32_t LtboPartitions = 1;
   uint32_t LtboThreads = 1;
   /// Detect-phase memory budget in bytes (`calibro-dex2oat
@@ -62,7 +62,6 @@ struct CalibroOptions {
   /// selections to the build cache (or an ephemeral temp store), with
   /// byte-identical output.
   uint64_t MemoryBudgetBytes = 0;
-  DetectorKind LtboDetector = DetectorKind::SuffixTree;
   uint32_t MinSeqLen = 2;
   uint32_t MaxSeqLen = 64;
   /// When set, hot-function filtering (HfOpti) is applied with this

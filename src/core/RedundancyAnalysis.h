@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The paper's code-redundancy analysis (§2.2): map the application's
-/// binary code to an unsigned-integer sequence, build a suffix tree, detect
+/// binary code to an unsigned-integer sequence, build a suffix array, detect
 /// repetitive sequences, and estimate the potential code-size saving with
 /// the Fig. 2 benefit model. This is the estimator behind Table 1 (25.4 %
 /// average potential), Figure 3 (length vs. repeats), and Observation 3

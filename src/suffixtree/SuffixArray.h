@@ -5,44 +5,64 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// An independent redundancy-detection backend: a suffix array with Kasai's
-/// LCP array, enumerating repeated sequences as LCP intervals. Construction
-/// is O(n): the sparse 64-bit alphabet is first compacted to dense uint32
-/// ranks (LSD radix sort of the symbols), then SA-IS (suffix array by
-/// induced sorting, Nong/Zhang/Chan) builds the array in linear time — no
-/// doubling rounds at all. The sentinel is a *virtual* position with a
-/// by-construction unique smallest rank — no symbol value is reserved, so
-/// any uint64 sequence is legal input (the old release-build hazard of a
-/// text containing the reserved ~0 sentinel no longer exists).
+/// LTBO's repeat detector: a suffix array with Kasai's LCP array,
+/// enumerating repeated sequences as LCP intervals.
+///
+/// This is the redundancy-detection substrate of the paper (§2.1.2,
+/// §3.3.2). The paper builds a suffix tree; the LCP intervals of a suffix
+/// array correspond one-to-one to that tree's internal nodes, so the array
+/// reports exactly the same repeats with the same occurrence sets, from a
+/// smaller working set. The whole program's instruction stream is mapped
+/// to a symbol sequence (instruction encodings, with every basic-block
+/// terminator replaced by a globally unique separator symbol); every LCP
+/// interval with >= 2 rows names a repeated sequence whose length is the
+/// interval's LCP value and whose occurrences are the interval's suffixes.
+/// Unique separators can never appear inside a repeated sequence, which
+/// confines every candidate to a basic block exactly as §3.3.2 requires.
+///
+/// Construction is O(n): the sparse 64-bit alphabet is first compacted to
+/// dense uint32 ranks (LSD radix sort of the symbols), then SA-IS (suffix
+/// array by induced sorting, Nong/Zhang/Chan) builds the array in linear
+/// time. The sentinel is a *virtual* position with a by-construction
+/// unique smallest rank — no symbol value is reserved, so any uint64
+/// sequence is legal input.
 ///
 /// The suffix array of a text whose (virtual) sentinel is strictly smaller
 /// than every other symbol is unique, so the SA-IS result is bit-identical
-/// to what prefix doubling produced — detection output cannot shift with
-/// the construction algorithm. prefixDoublingSuffixArray() keeps the old
+/// to what prefix doubling produces — detection output cannot shift with
+/// the construction algorithm. prefixDoublingSuffixArray() keeps the
 /// O(n log n) construction alive as the differential oracle the tests and
 /// the build-time bench compare against.
-///
-/// LCP intervals correspond one-to-one to the internal nodes of the suffix
-/// tree, so this backend must report exactly the same repeats with exactly
-/// the same occurrence sets as st::SuffixTree — which is how the test suite
-/// cross-validates the Ukkonen implementation (and vice versa). It is also
-/// the memory-lean and construction-fast alternative the build-time
-/// experiments compare against.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CALIBRO_SUFFIXTREE_SUFFIXARRAY_H
 #define CALIBRO_SUFFIXTREE_SUFFIXARRAY_H
 
-#include "suffixtree/SuffixTree.h"
 #include "support/Arena.h"
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 namespace calibro {
 namespace st {
+
+/// Sequence symbol. Instruction words occupy [0, 2^32); separator symbols
+/// live above.
+using Symbol = uint64_t;
+
+/// First symbol value reserved for separators. Callers allocate unique
+/// separators as SeparatorBase + counter.
+inline constexpr Symbol SeparatorBase = uint64_t(1) << 32;
+
+/// A repeated sequence found by SuffixArray::forEachRepeat.
+struct RepeatInfo {
+  int32_t Node;    ///< LCP-interval handle, usable with positionsOf().
+  uint32_t Length; ///< Repeated-sequence length (clamped to MaxLen).
+  uint32_t Count;  ///< Number of (possibly overlapping) occurrences.
+};
 
 /// Which algorithm constructed the raw suffix array. The suffix array of a
 /// text with a unique smallest (virtual) sentinel is unique, so the choice
@@ -55,8 +75,8 @@ enum class SaBackend : uint8_t {
 /// Returns the identifier-style name of \p B.
 const char *saBackendName(SaBackend B);
 
-/// Suffix array + LCP over one symbol sequence, with the same repeat
-/// enumeration interface as SuffixTree.
+/// Suffix array + LCP over one symbol sequence, with repeat enumeration
+/// over its LCP intervals.
 ///
 /// Construction auto-picks its backend per text (hybrid): SA-IS's linear
 /// time only pays off once the doubling round count grows, which needs
@@ -94,17 +114,18 @@ public:
   /// The stored (or viewed) sequence. Invalid after releaseWorkingSet().
   std::span<const Symbol> text() const { return View; }
 
-  using RepeatInfo = SuffixTree::RepeatInfo;
-
-  /// Number of LCP intervals — the counterpart of the suffix tree's
-  /// internal-node count (leaves are implicit in the array itself).
+  /// Number of LCP intervals — the internal nodes of the corresponding
+  /// suffix tree (its leaves are implicit in the array itself).
   std::size_t numNodes() const { return Intervals.size(); }
 
-  /// Visits every LCP interval whose repeat length is >= \p MinLen
-  /// (clamped to \p MaxLen) with >= \p MinCount occurrences. The Node
-  /// handle indexes the internal interval table. Clamped candidates are
-  /// deduplicated exactly like SuffixTree::forEachRepeat: an interval whose
-  /// parent interval's LCP value is already >= MaxLen is skipped.
+  /// Visits every LCP interval whose repeat length is >= \p MinLen with
+  /// >= \p MinCount occurrences. The Node handle indexes the internal
+  /// interval table. Lengths longer than \p MaxLen are reported clamped to
+  /// MaxLen (the occurrence positions stay valid for the length-MaxLen
+  /// prefix). Clamped candidates are deduplicated: an interval whose parent
+  /// interval's LCP value is already >= MaxLen is skipped, because the
+  /// parent reports the identical length-MaxLen prefix with a superset of
+  /// the occurrence positions. Visit order is deterministic.
   void forEachRepeat(uint32_t MinLen, uint32_t MaxLen, uint32_t MinCount,
                      const std::function<void(const RepeatInfo &)> &Fn) const;
 

@@ -34,6 +34,7 @@ enum class ErrCat : uint8_t {
   Link,      ///< Link-stage failure (relocations, layout, duplicate ids).
   Runtime,   ///< Simulator / execution failure.
   Service,   ///< Compile-service admission failure (queue full, shut down).
+  InvalidOptions, ///< A configuration the pipeline cannot run.
 };
 
 /// Returns a stable lower-case name for \p C ("bad-format", ...).
@@ -51,6 +52,8 @@ inline const char *errCatName(ErrCat C) {
     return "runtime";
   case ErrCat::Service:
     return "service";
+  case ErrCat::InvalidOptions:
+    return "invalid-options";
   }
   return "error";
 }

@@ -70,7 +70,6 @@ verify::runDifferential(const workload::AppSpec &Spec,
   Cto.EnableCto = true;
   core::CalibroOptions Ltbo = Cto;
   Ltbo.EnableLtbo = true;
-  Ltbo.LtboDetector = Opts.Detector;
   core::CalibroOptions Pl = Ltbo;
   Pl.LtboPartitions = Opts.Partitions;
   Pl.LtboThreads = Opts.Threads;
@@ -217,6 +216,14 @@ workload::AppSpec verify::randomAppSpec(uint64_t Seed) {
 Expected<DifferentialReport> verify::runRandomDifferential(uint64_t Seed) {
   workload::AppSpec Spec = randomAppSpec(Seed);
   Rng R(Seed * 0x2545f4914f6cdd1dULL + 1);
+  // Half the corpus is a closed world (declared entrypoints, dead code and
+  // clone families), so the GC and the merger run under the behaviour
+  // oracle. The driver script calls entry methods only, which are always
+  // roots.
+  if (R.nextBool(0.5)) {
+    workload::enableDeadCode(Spec);
+    Spec.KeepFraction = 0.3 + 0.7 * R.nextDouble();
+  }
 
   dex::App App = workload::makeApp(Spec);
   auto Script = workload::makeScript(Spec, 6, Seed + 13);
@@ -224,7 +231,11 @@ Expected<DifferentialReport> verify::runRandomDifferential(uint64_t Seed) {
   DifferentialReport Report;
   Report.InvocationsPerStage = Script.size();
 
+  // The baseline keeps every method and every body: GC and merge are
+  // compared, not shared.
   core::CalibroOptions Base;
+  Base.EnableGc = false;
+  Base.EnableMerge = false;
   auto BaseBuild = core::buildApp(App, Base);
   if (!BaseBuild)
     return makeError("fuzz baseline build: " + BaseBuild.message());
@@ -236,8 +247,6 @@ Expected<DifferentialReport> verify::runRandomDifferential(uint64_t Seed) {
   core::CalibroOptions Full;
   Full.EnableCto = true;
   Full.EnableLtbo = true;
-  Full.LtboDetector = R.nextBool(0.5) ? core::DetectorKind::SuffixTree
-                                      : core::DetectorKind::SuffixArray;
   Full.LtboPartitions = static_cast<uint32_t>(R.nextInRange(1, 6));
   Full.LtboThreads = static_cast<uint32_t>(R.nextInRange(1, 3));
   // Half the corpus runs memory-budgeted (windowed) linking; a quarter of
@@ -258,6 +267,9 @@ Expected<DifferentialReport> verify::runRandomDifferential(uint64_t Seed) {
   if (auto E = compareRuns(*BaseRun, *FullRun, "fuzz cto+ltbo"))
     return E;
   Report.LtboBytes = FullBuild->Oat.textBytes();
+  Report.MethodsGCed = FullBuild->Stats.Ltbo.MethodsGCed.size();
+  Report.MethodsMerged = FullBuild->Stats.Ltbo.MethodsMergedIdentical +
+                         FullBuild->Stats.Ltbo.MethodsMergedThunk;
   Report.StagesCompared = 1;
   return Report;
 }

@@ -18,7 +18,8 @@
 /// Beyond the six workload presets, randomAppSpec() derives arbitrary app
 /// shapes from a seed (method counts, idiom pools, switch/native/throw
 /// densities, Zipf skews) so the harness can fuzz the whole pipeline over
-/// hundreds of independently shaped apps (runRandomDifferential).
+/// hundreds of independently shaped apps (runRandomDifferential), open and
+/// closed worlds alike.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -75,7 +76,6 @@ struct DifferentialOptions {
   /// happens afterwards in fixed stage order, so results and error
   /// reporting are identical for any value. 1 = serial ladder.
   uint32_t LadderThreads = 2;
-  core::DetectorKind Detector = core::DetectorKind::SuffixTree;
   /// When non-zero and WithPlOpti is set, add a memory-budgeted (windowed)
   /// PlOpti stage to the ladder: the same build with
   /// OutlinerOptions::MemoryBudgetBytes set. Beyond behavioural
@@ -97,6 +97,10 @@ struct DifferentialReport {
   uint64_t WindowedBytes = 0;
   std::size_t StagesCompared = 0;   ///< Outlined stages proven equivalent.
   std::size_t InvocationsPerStage = 0;
+  /// Methods the outlined build's GC dropped and merged away (random
+  /// closed-world runs only; 0 otherwise).
+  std::size_t MethodsGCed = 0;
+  std::size_t MethodsMerged = 0;
 };
 
 /// Builds \p Spec under the full configuration ladder and proves every
@@ -107,8 +111,10 @@ Expected<DifferentialReport> runDifferential(const workload::AppSpec &Spec,
 /// Derives a randomized app shape from \p Seed (deterministically).
 workload::AppSpec randomAppSpec(uint64_t Seed);
 
-/// One fuzz iteration: a random app, Baseline vs CTO+LTBO with a
-/// seed-chosen detector backend and partition count, equivalence-only.
+/// One fuzz iteration: a random app — a closed world for about half the
+/// seeds — built as Baseline (GC and merge off) and as CTO+LTBO with a
+/// seed-chosen partition count, thread count and memory budget (GC and
+/// merge on); equivalence-only.
 Expected<DifferentialReport> runRandomDifferential(uint64_t Seed);
 
 /// Runs runRandomDifferential for every seed in [FirstSeed, FirstSeed +

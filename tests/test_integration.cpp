@@ -17,6 +17,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Calibro.h"
+#include "oat/Serialize.h"
 #include "sim/Simulator.h"
 #include "workload/Workload.h"
 
@@ -87,7 +88,7 @@ TEST_P(Pipeline, AllConfigurationsBehaveIdentically) {
   RunDigest CtoRun = runScript(CtoBuild->Oat, Script);
   EXPECT_TRUE(BaseRun.sameBehaviour(CtoRun));
 
-  // CTO + LTBO (single global suffix tree).
+  // CTO + LTBO (one global detection, K = 1).
   core::CalibroOptions Full = Cto;
   Full.EnableLtbo = true;
   auto FullBuild = core::buildApp(App, Full);
@@ -98,7 +99,7 @@ TEST_P(Pipeline, AllConfigurationsBehaveIdentically) {
   RunDigest FullRun = runScript(FullBuild->Oat, Script);
   EXPECT_TRUE(BaseRun.sameBehaviour(FullRun));
 
-  // + PlOpti (partitioned parallel suffix trees).
+  // + PlOpti (K = 8 partitioned detection groups).
   core::CalibroOptions Par = Full;
   Par.LtboPartitions = 8;
   Par.LtboThreads = 2;
@@ -153,6 +154,74 @@ TEST(Integration, DeterministicBuilds) {
   ASSERT_TRUE(bool(B)) << B.message();
   EXPECT_EQ(A->Oat.Text, B->Oat.Text)
       << "parallel outlining must be deterministic";
+}
+
+//===----------------------------------------------------------------------===//
+// Golden image digests
+//===----------------------------------------------------------------------===//
+
+/// FNV-1a over the serialized image: the whole OAT file, headers included.
+uint64_t imageDigest(const oat::OatFile &Oat) {
+  uint64_t H = 0xcbf29ce484222325ULL;
+  for (uint8_t B : oat::serializeOat(Oat)) {
+    H ^= B;
+    H *= 0x100000001b3ULL;
+  }
+  return H;
+}
+
+// Locks the outliner's output as whole images. The digests were recorded
+// with a Ukkonen suffix-tree detector, which the suffix array must match
+// bit for bit: a detector change that shifts a single candidate,
+// occurrence or outlined-function id changes the image and fails here.
+TEST(Integration, GoldenImageDigests) {
+  // Open world (no entrypoints, so GC, merge and layout stay disarmed):
+  // one global detection (K=1) and PlOpti (K=8).
+  const workload::AppSpec Open = workload::paperApps(2)[0];
+  const dex::App OpenApp = workload::makeApp(Open);
+  const std::pair<uint32_t, uint64_t> Golden[] = {
+      {1, 0x037acae3adc19262ULL}, {8, 0xde9299c6d4dfa332ULL}};
+  for (auto [K, Want] : Golden) {
+    core::CalibroOptions Opts;
+    Opts.EnableCto = Opts.EnableLtbo = true;
+    Opts.LtboPartitions = K;
+    Opts.LtboThreads = 2;
+    auto B = core::buildApp(OpenApp, Opts);
+    ASSERT_TRUE(bool(B)) << B.message();
+    EXPECT_GT(B->Stats.Ltbo.SequencesOutlined, 0u);
+    EXPECT_EQ(imageDigest(B->Oat), Want)
+        << Open.Name << " K=" << K << ": got 0x" << std::hex
+        << imageDigest(B->Oat);
+  }
+
+  // Closed world with a profile: GC, merge, HfOpti and layout all arm.
+  workload::AppSpec Closed = smallSpec(7);
+  workload::enableDeadCode(Closed);
+  const dex::App ClosedApp = workload::makeApp(Closed);
+  core::CalibroOptions Opts;
+  Opts.EnableCto = Opts.EnableLtbo = true;
+  Opts.LtboPartitions = 4;
+  Opts.LtboThreads = 2;
+  Opts.LayoutPageSize = 256;
+  auto Cold = core::buildApp(ClosedApp, Opts);
+  ASSERT_TRUE(bool(Cold)) << Cold.message();
+  sim::SimOptions ProfOpts;
+  ProfOpts.CollectProfile = true;
+  sim::Simulator ProfSim(Cold->Oat, ProfOpts);
+  for (const auto &Inv : workload::makeScript(Closed, 16, 99))
+    ASSERT_TRUE(bool(ProfSim.call(Inv.MethodIdx, Inv.Args)));
+  profile::Profile Prof = ProfSim.profileData();
+  Opts.Profile = &Prof;
+  auto B = core::buildApp(ClosedApp, Opts);
+  ASSERT_TRUE(bool(B)) << B.message();
+  EXPECT_FALSE(B->Stats.Ltbo.MethodsGCed.empty());
+  EXPECT_GT(B->Stats.Ltbo.MethodsMergedIdentical +
+                B->Stats.Ltbo.MethodsMergedThunk,
+            0u);
+  EXPECT_GT(B->Stats.Ltbo.HotFilteredMethods, 0u);
+  EXPECT_TRUE(B->Stats.LayoutApplied);
+  EXPECT_EQ(imageDigest(B->Oat), 0x9baf1d94dc06f7adULL)
+      << "closed world + profile: got 0x" << std::hex << imageDigest(B->Oat);
 }
 
 } // namespace

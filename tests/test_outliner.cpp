@@ -252,32 +252,6 @@ TEST(Outliner, RewrittenMethodsLinkAndValidate) {
   EXPECT_FALSE(bool(oat::validateOat(*O)));
 }
 
-TEST(Outliner, SuffixArrayBackendMatchesSuffixTree) {
-  // Both detection backends enumerate the same maximal repeats, so the
-  // whole outlining pipeline must produce identical methods and functions.
-  std::vector<dex::Method> Ms;
-  for (uint32_t I = 0; I < 10; ++I)
-    Ms.push_back(chainMethod(I, "d" + std::to_string(I)));
-  auto ViaTree = compileMethods(Ms);
-  auto ViaArray = ViaTree;
-
-  OutlinerOptions TreeOpts;
-  auto RT = runLtbo(ViaTree, TreeOpts);
-  OutlinerOptions ArrayOpts;
-  ArrayOpts.Detector = DetectorKind::SuffixArray;
-  auto RA = runLtbo(ViaArray, ArrayOpts);
-  ASSERT_TRUE(bool(RT) && bool(RA));
-
-  EXPECT_EQ(RT->Stats.InsnsRemoved, RA->Stats.InsnsRemoved);
-  EXPECT_EQ(RT->Stats.OccurrencesReplaced, RA->Stats.OccurrencesReplaced);
-  ASSERT_EQ(ViaTree.size(), ViaArray.size());
-  for (std::size_t M = 0; M < ViaTree.size(); ++M)
-    EXPECT_EQ(ViaTree[M].Code, ViaArray[M].Code) << "method " << M;
-  ASSERT_EQ(RT->Funcs.size(), RA->Funcs.size());
-  for (std::size_t F = 0; F < RT->Funcs.size(); ++F)
-    EXPECT_EQ(RT->Funcs[F].Code, RA->Funcs[F].Code);
-}
-
 TEST(Outliner, FailureInjectionCorruptSideInfo) {
   // Drop the recorded terminators and PC-relative instructions from every
   // method. Pre-validation the outliner would trust the lying records and
@@ -643,7 +617,7 @@ TEST(Outliner, SlowPathEndOfCodeRemapTracksPoolShift) {
 }
 
 /// A method that is one long run of the same word: the worst case for
-/// clamped-candidate duplication in the detectors.
+/// clamped-candidate duplication in the detector.
 CompiledMethod flatRunMethod(uint32_t Idx, std::size_t N) {
   CompiledMethod M;
   M.MethodIdx = Idx;
@@ -661,35 +635,47 @@ CompiledMethod flatRunMethod(uint32_t Idx, std::size_t N) {
 }
 
 TEST(Outliner, ClampedCandidatesAreDeduplicated) {
-  // Two 40-word runs of one repeated instruction. Every suffix-tree node
+  // Two 40-word runs of one repeated instruction. Every LCP interval
   // deeper than MaxSeqLen describes the same clamped 8-word content, so
   // without dedup the selection loop would rank 39 candidates; with it,
   // exactly one per distinct content survives: lengths 2..8, i.e. 7.
   OutlinerOptions Opts;
   Opts.MaxSeqLen = 8;
-  std::vector<CompiledMethod> ViaTree = {flatRunMethod(0, 40),
+  std::vector<CompiledMethod> Methods = {flatRunMethod(0, 40),
                                          flatRunMethod(1, 40)};
-  auto ViaArray = ViaTree;
-  auto RT = runLtbo(ViaTree, Opts);
-  Opts.Detector = DetectorKind::SuffixArray;
-  auto RA = runLtbo(ViaArray, Opts);
-  ASSERT_TRUE(bool(RT) && bool(RA));
-
-  EXPECT_GT(RT->Stats.SequencesOutlined, 0u);
-  EXPECT_EQ(RT->Stats.CandidatesEvaluated,
+  auto R = runLtbo(Methods, Opts);
+  ASSERT_TRUE(bool(R));
+  EXPECT_GT(R->Stats.SequencesOutlined, 0u);
+  EXPECT_EQ(R->Stats.CandidatesEvaluated,
             static_cast<std::size_t>(Opts.MaxSeqLen - Opts.MinSeqLen + 1));
-  EXPECT_EQ(RA->Stats.CandidatesEvaluated, RT->Stats.CandidatesEvaluated);
+}
 
-  // Dedup must not change what gets selected: both backends still produce
-  // bit-identical methods, functions and savings.
-  EXPECT_EQ(RT->Stats.InsnsRemoved, RA->Stats.InsnsRemoved);
-  EXPECT_EQ(RT->Stats.OccurrencesReplaced, RA->Stats.OccurrencesReplaced);
-  ASSERT_EQ(ViaTree.size(), ViaArray.size());
-  for (std::size_t M = 0; M < ViaTree.size(); ++M)
-    EXPECT_EQ(ViaTree[M].Code, ViaArray[M].Code) << "method " << M;
-  ASSERT_EQ(RT->Funcs.size(), RA->Funcs.size());
-  for (std::size_t F = 0; F < RT->Funcs.size(); ++F)
-    EXPECT_EQ(RT->Funcs[F].Code, RA->Funcs[F].Code);
+TEST(Outliner, PartitionCountIsBoundedByFuncIdBits) {
+  // The group index fills the 12 bits of an outlined-function id above
+  // its 20-bit counter. MaxPartitions groups still link; one more group
+  // (or an atoi-wrapped negative) is rejected as invalid options before
+  // anything is sized by K, and the methods are left untouched.
+  std::vector<dex::Method> Ms;
+  for (uint32_t I = 0; I < 6; ++I)
+    Ms.push_back(chainMethod(I, "k" + std::to_string(I)));
+  const auto Reference = compileMethods(Ms);
+
+  OutlinerOptions Opts;
+  Opts.Partitions = MaxPartitions;
+  auto Methods = Reference;
+  auto R = runLtbo(Methods, Opts);
+  ASSERT_TRUE(bool(R)) << R.message();
+  EXPECT_EQ(R->Stats.PartitionsUsed, MaxPartitions);
+
+  for (uint32_t K : {MaxPartitions + 1, ~uint32_t(0)}) {
+    Opts.Partitions = K;
+    Methods = Reference;
+    auto Bad = runLtbo(Methods, Opts);
+    ASSERT_FALSE(bool(Bad)) << "K=" << K;
+    EXPECT_EQ(Bad.category(), ErrCat::InvalidOptions) << Bad.message();
+    for (std::size_t M = 0; M < Methods.size(); ++M)
+      EXPECT_EQ(Methods[M].Code, Reference[M].Code);
+  }
 }
 
 TEST(RedundancyAnalysis, FindsPlantedRedundancy) {

@@ -209,34 +209,29 @@ TEST(Differential, PaperAppsAllStagesVerifyAndAgree) {
   }
 }
 
-TEST(Differential, SuffixArrayDetectorLadder) {
-  auto Spec = smallSpec(23);
-  verify::DifferentialOptions Opts;
-  Opts.Detector = core::DetectorKind::SuffixArray;
-  auto R = verify::runDifferential(Spec, Opts);
-  ASSERT_TRUE(bool(R)) << R.message();
-  EXPECT_EQ(R->StagesCompared, 4u);
-}
-
 TEST(Differential, HundredRandomizedApps) {
   // The acceptance bar: >= 100 independently shaped random apps, each
   // proven behaviourally identical between Baseline and CTO+LTBO (with a
-  // seed-chosen detector backend and partition count), and every image
-  // statically verified. The batch entry point fans the seeds out across a
+  // seed-chosen partition count, and GC + merge on the closed-world half),
+  // and every image statically verified. The batch entry point fans the seeds out across a
   // thread pool; reports still come back in seed order.
   auto Batch = verify::runRandomDifferentialBatch(1, 100, 4);
   ASSERT_TRUE(bool(Batch)) << Batch.message();
   ASSERT_EQ(Batch->size(), 100u);
-  std::size_t AppsWithOutlining = 0;
+  std::size_t AppsWithOutlining = 0, AppsWithGc = 0, AppsWithMerge = 0;
   for (const auto &R : *Batch) {
     EXPECT_EQ(R.StagesCompared, 1u);
     EXPECT_GT(R.InvocationsPerStage, 0u);
     if (R.LtboBytes < R.BaselineBytes)
       ++AppsWithOutlining;
+    AppsWithGc += R.MethodsGCed > 0;
+    AppsWithMerge += R.MethodsMerged > 0;
   }
-  // Most random shapes must actually exercise outlining, or the fuzzing
-  // proves nothing.
+  // Most random shapes must actually exercise outlining, and the closed
+  // half GC and merging, or the fuzzing proves nothing.
   EXPECT_GT(AppsWithOutlining, 80u);
+  EXPECT_GT(AppsWithGc, 30u);
+  EXPECT_GT(AppsWithMerge, 30u);
 }
 
 TEST(Differential, WindowedStageIsByteIdenticalToPlOpti) {
